@@ -713,15 +713,66 @@ constexpr escape::Duration kMaxWait = escape::from_ms(120'000);
 /// and each failover gets slower; fresh clusters of a fixed series length
 /// keep the per-failover cost the same throughout a run of any length.
 constexpr std::size_t kSegmentFailovers = 100;
+/// The host speed `rate_per_s` is given at: the yardstick's time.
+constexpr double kYardstickMs = 1.0;
 
 struct SimTotals {
   std::vector<escape::sim::FailoverResult> episodes;
   std::vector<double> commit_ms;
   std::vector<double> election_msgs;
   std::vector<double> cycle_s;  ///< wall seconds per crash-recover cycle
+  std::vector<double> yardstick_ms;  ///< the yardstick's time after each cycle
+  std::vector<double> cycle_per_yardstick;  ///< per cycle: its wall time / yardstick_ms
   std::vector<std::string> problems;
   std::uint64_t events = 0;
   std::size_t uncommitted = 0;
+};
+
+/// A fixed loop of the simulator's kinds of work -- ordered-map inserts
+/// (allocation, pointer chasing), an in-order walk, and dependent loads over
+/// a 256 KB table -- timed on the simulator's thread after every cycle. It
+/// is the yardstick of the host's speed at that moment: on a shared host the
+/// same cycle takes 14 ms for some seconds and 23 ms for the next, and the
+/// yardstick slows with it (0.8 -> 1.1 ms), while its own code never
+/// changes with the program's. Cycle time / yardstick time moves only with
+/// the program.
+class HostYardstick {
+ public:
+  HostYardstick() : next_(kTableSize) {
+    std::vector<std::uint32_t> order(kTableSize);
+    for (std::uint32_t i = 0; i < kTableSize; ++i) order[i] = i;
+    std::uint64_t x = 12345;
+    for (std::uint32_t i = kTableSize - 1; i > 0; --i) {
+      x = lcg(x);
+      std::swap(order[i], order[(x >> 33) % (i + 1)]);
+    }
+    // One cycle through the whole table, in shuffled order.
+    for (std::uint32_t i = 0; i < kTableSize; ++i) next_[order[i]] = order[(i + 1) % kTableSize];
+  }
+
+  double time_ms() {
+    const std::int64_t start = now_ns();
+    std::map<std::uint64_t, std::uint64_t> m;
+    std::uint64_t x = 99;
+    for (int i = 0; i < 2000; ++i) {
+      x = lcg(x);
+      m[x >> 20] = x;
+    }
+    std::uint64_t acc = 0;
+    for (const auto& [k, v] : m) acc += k ^ v;
+    std::uint32_t at = 0;
+    for (int i = 0; i < 20000; ++i) at = next_[at];
+    sink_ = sink_ + acc + at;  // keeps the loops from being optimised away
+    return static_cast<double>(now_ns() - start) / kNsPerMs;
+  }
+
+ private:
+  static constexpr std::uint32_t kTableSize = 1u << 16;
+  static std::uint64_t lcg(std::uint64_t x) {
+    return x * 6364136223846793005ULL + 1442695040888963407ULL;
+  }
+  std::vector<std::uint32_t> next_;
+  volatile std::uint64_t sink_ = 0;
 };
 
 /// One series of crash-recover cycles on a fresh paper-preset cluster, until
@@ -730,7 +781,7 @@ struct SimTotals {
 /// victim, settle 2 s. `on_bootstrap` runs once the first leader is elected.
 bool run_sim_segment(std::uint64_t seed, const escape::net::PolicyFactory& policy,
                      std::int64_t deadline, const std::function<void()>& on_bootstrap,
-                     SimTotals* totals) {
+                     HostYardstick* yardstick, SimTotals* totals) {
   escape::sim::ScenarioRunner runner(
       escape::sim::presets::paper_cluster(kSimServers, policy, seed, kSimOmission));
   auto& cluster = runner.cluster();
@@ -798,7 +849,10 @@ bool run_sim_segment(std::uint64_t seed, const escape::net::PolicyFactory& polic
     const ServerId victim = runner.runtime().last_crashed();
     if (victim != escape::kNoServer && !cluster.alive(victim)) cluster.recover(victim);
     loop.run_until(loop.now() + kSettle);
-    totals->cycle_s.push_back(static_cast<double>(now_ns() - cycle_start) / 1e9);
+    const double cycle_ms = ms_between(cycle_start, now_ns());
+    totals->cycle_s.push_back(cycle_ms / 1e3);
+    totals->yardstick_ms.push_back(yardstick->time_ms());
+    totals->cycle_per_yardstick.push_back(ratio(cycle_ms, totals->yardstick_ms.back()));
   }
   totals->events += loop.processed() - events_start;
   totals->uncommitted += pending.size();
@@ -817,6 +871,7 @@ Result run_sim_paper_scale(const RunConfig& config) {
 
   double setup_s = 0;
   SimTotals totals;
+  HostYardstick yardstick;
   const std::int64_t run_end =
       config.process_start_ns + static_cast<std::int64_t>(config.seconds * 1e9);
   std::int64_t wall_start = 0;
@@ -826,7 +881,8 @@ Result run_sim_paper_scale(const RunConfig& config) {
       setup_s = static_cast<double>(now_ns() - config.process_start_ns) / 1e9;
       wall_start = now_ns();
     };
-    if (!run_sim_segment(config.seed * 1000 + segment, policy, run_end, on_bootstrap, &totals)) {
+    if (!run_sim_segment(config.seed * 1000 + segment, policy, run_end, on_bootstrap, &yardstick,
+                         &totals)) {
       break;
     }
   }
@@ -850,8 +906,12 @@ Result run_sim_paper_scale(const RunConfig& config) {
 
   const double election_p50 = median(total_ms);
   // The median cycle, not the count over the run: a rare election storm
-  // under 20% loss costs many times a typical cycle.
-  const double failovers_per_s = ratio(1.0, median(totals.cycle_s));
+  // under 20% loss costs many times a typical cycle. Each cycle is measured
+  // against the yardstick run right after it, and the rate is given at the
+  // host speed where the yardstick takes 1 ms: the raw median cycle moved
+  // by a quarter between runs of the same code with the host's speed.
+  const double failovers_per_s = ratio(1.0, median(totals.cycle_per_yardstick) * kYardstickMs / 1e3);
+  const double raw_failovers_per_s = ratio(1.0, median(totals.cycle_s));
 
   std::map<std::string, double> layer;
   layer["raft.detection_ms"] = median(detection_ms);
@@ -869,9 +929,11 @@ Result run_sim_paper_scale(const RunConfig& config) {
   result.report.push_back(fmt("failovers=%.0f sim_election_p50_ms=%.4f sim_election_p95_ms=%.4f",
                               static_cast<double>(totals.episodes.size()), election_p50,
                               percentile(total_ms, 95)));
-  result.report.push_back(fmt("sim_failovers_per_s=%.4f commit_p50_ms=%.4f commit_p99_ms=%.4f "
-                              "uncommitted_at_end=%.0f",
-                              failovers_per_s, median(totals.commit_ms), percentile(totals.commit_ms, 99),
+  result.report.push_back(fmt("sim_failovers_per_s=%.4f (at a 1 ms yardstick) raw=%.4f "
+                              "yardstick_p50_ms=%.4f",
+                              failovers_per_s, raw_failovers_per_s, median(totals.yardstick_ms)));
+  result.report.push_back(fmt("commit_p50_ms=%.4f commit_p99_ms=%.4f uncommitted_at_end=%.0f",
+                              median(totals.commit_ms), percentile(totals.commit_ms, 99),
                               static_cast<double>(totals.uncommitted)));
   // Service resumes with the new leader: the paper's election time is the
   // simulator's time without service.
